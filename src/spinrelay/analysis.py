@@ -4,7 +4,8 @@ Produces the standard data products: first-iteration success probability
 and optimal time versus chain length (with power-law and linear fits),
 post-failure excitation distributions, per-iteration probabilities, and
 cumulative failure curves. Everything is deterministic: identical inputs
-give bit-identical tables.
+give bit-identical tables. All of them read the cached all-failure
+cascade of protocol_engine, so products of one chain share its search.
 """
 
 import csv
@@ -14,10 +15,7 @@ import numpy as np
 
 from .protocol_engine import (
     DEFAULT_GRID_STEP,
-    LogicalPayload,
-    PeakCriterion,
-    initialize,
-    optimize_time,
+    cascade,
     run_iterative_protocol,
 )
 from .sector_dynamics import ChainSpec, as_mode
@@ -57,24 +55,11 @@ class PowerLawFit:
     r_squared: float
 
 
-def _probe_payload(d=3):
-    a = np.zeros(d - 1, dtype=complex)
-    a[0] = 1.0
-    return LogicalPayload(d=d, a=a)
-
-
 def first_iteration_peak(n, mode, grid_step=DEFAULT_GRID_STEP, j=1.0):
-    """(t1, P1) of the first success peak for an N-site chain."""
-    spec = ChainSpec(n_sites=n, j=j)
-    state = initialize(spec, _probe_payload(spec.d))
-    t, p, _ = optimize_time(
-        state,
-        (0.0, 2.0 * n / j),
-        grid_step / j,
-        PeakCriterion.FIRST_PEAK,
-        mode,
-    )
-    return t, p
+    """(t1, P1) of the first success peak for an N-site chain; P1 is the
+    optimizer's refined peak value."""
+    optimum = cascade(n, j, mode, grid_step=grid_step).step(1).optimum
+    return optimum.t, optimum.p
 
 
 def sweep_first_iteration(n_list, mode, grid_step=DEFAULT_GRID_STEP, j=1.0):
@@ -156,10 +141,9 @@ def concat_tables(tables):
 def failure_cascade(n, k_max, mode, strategy="optimized",
                     grid_step=DEFAULT_GRID_STEP, j=1.0):
     """Deterministic all-failure protocol run (no sampling)."""
-    spec = ChainSpec(n_sites=n, j=j)
     return run_iterative_protocol(
-        spec,
-        _probe_payload(spec.d),
+        ChainSpec(n_sites=n, j=j),
+        None,
         strategy=strategy,
         max_iter=k_max,
         mode=mode,

@@ -29,7 +29,6 @@ from .full_oracle import cross_validate
 from .kernels import probability_series
 from .protocol_engine import (
     DEFAULT_GRID_STEP,
-    LogicalPayload,
     OutcomeSource,
     run_iterative_protocol,
 )
@@ -37,12 +36,6 @@ from .sector_dynamics import ChainSpec, sector_basis
 from .spin_algebra import solve_swap_coefficients
 
 ORACLE_TOL = 1e-8
-
-
-def _probe_payload(d):
-    a = np.zeros(d - 1, dtype=complex)
-    a[0] = 1.0
-    return LogicalPayload(d=d, a=a)
 
 
 def _chain_spec(args):
@@ -84,7 +77,7 @@ def _cmd_simulate(args):
     source = OutcomeSource(script=args.force, seed=args.seed)
     result = run_iterative_protocol(
         spec,
-        _probe_payload(spec.d),
+        None,
         strategy=args.strategy,
         max_iter=args.max_iter,
         mode=args.mode,
@@ -159,7 +152,7 @@ def _cmd_sweep(args):
         path = os.path.join(args.out_dir, f"post_failure_distribution_n{n}.csv")
         _emit_text(
             _csv_text(config, ["site", "probability"],
-                      list(enumerate(dist, start=1))),
+                      list(enumerate(dist.tolist(), start=1))),
             path,
         )
         written.append(path)

@@ -9,16 +9,29 @@ evolution is a mode-sum matrix-vector product, the receiver measurement
 either delivers the payload (probability |c_N|^2) or projects c_N to zero
 with a 1/sqrt(1-P) renormalization, and the field only accumulates the
 level phase exp(-i mu B T) undone by phase_correction on delivery.
+
+Only the receiver is measured, so every measurement time and every p_k
+lies on the all-failure branch, which depends on neither the payload, d
+nor B. A Cascade holds that branch for one chain; run_iterative_protocol
+replays it against forced outcomes or one uniform draw per step.
 """
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .kernels import probability_series
-from .sector_dynamics import ChainSpec, PropagatorMode, as_mode, sector_basis
+from .sector_dynamics import (
+    ChainSpec,
+    PropagatorMode,
+    as_mode,
+    require_finite,
+    require_int,
+    sector_basis,
+)
 
 DEFAULT_GRID_STEP = 0.01  # in Jt units
 LATER_WINDOW_JT = 10.0
@@ -50,7 +63,9 @@ class LogicalPayload:
     a: np.ndarray
 
     def __post_init__(self):
+        require_int("d", self.d)
         a = np.asarray(self.a, dtype=complex)
+        require_finite("payload coefficients", a)
         if a.shape != (self.d - 1,):
             raise ValueError(
                 f"payload needs {self.d - 1} coefficients, got {a.shape}"
@@ -63,7 +78,8 @@ class LogicalPayload:
 @dataclass
 class SectorState:
     """Factorized protocol state; norm_factor is the probability weight of
-    the realized measurement branch."""
+    the realized measurement branch. payload is None on the payload-free
+    all-failure cascade."""
 
     spec: ChainSpec
     spatial: np.ndarray
@@ -93,7 +109,8 @@ class ProtocolResult:
     p_fail_cumulative: list
     total_time: float
     corrected: bool
-    # plumbing beyond the record log: final state and delivered payload
+    # plumbing beyond the record log: final state and the payload held at
+    # the receiver after phase correction (the sent one, on success)
     final_state: SectorState = None
     delivered_payload: LogicalPayload = None
 
@@ -103,8 +120,9 @@ class ProtocolResult:
 
 
 def initialize(spec: ChainSpec, payload: LogicalPayload):
-    """Excitation at the sender (site 1), clock at zero."""
-    if payload.d != spec.d:
+    """Excitation at the sender (site 1), clock at zero. payload may be
+    None (see SectorState)."""
+    if payload is not None and payload.d != spec.d:
         raise ValueError(
             f"payload dimension {payload.d} does not match chain d={spec.d}"
         )
@@ -152,6 +170,26 @@ def _forced_branch(source):
     return None
 
 
+def decide_branch(outcome_source, p):
+    """True for the success branch of a measurement with clamped success
+    probability p.
+
+    outcome_source is a numpy Generator, which draws exactly one uniform
+    number, or a forced outcome ('S'/'F', Outcome, or bool).
+    Zero-probability forced branches are rejected.
+    """
+    forced = _forced_branch(outcome_source)
+    if forced is None:
+        if not isinstance(outcome_source, np.random.Generator):
+            raise TypeError(f"bad outcome source: {outcome_source!r}")
+        return bool(outcome_source.random() < p)
+    if forced and p == 0.0:
+        raise ValueError("forced success on a zero-probability branch")
+    if not forced and p == 1.0:
+        raise ValueError("forced failure on a zero-probability branch")
+    return forced
+
+
 def measure(state: SectorState, outcome_source):
     """Receiver-site projective measurement.
 
@@ -161,18 +199,7 @@ def measure(state: SectorState, outcome_source):
     """
     p = success_probability(state)
     p = min(max(p, 0.0), 1.0)
-    forced = _forced_branch(outcome_source)
-    if forced is None:
-        if not isinstance(outcome_source, np.random.Generator):
-            raise TypeError(f"bad outcome source: {outcome_source!r}")
-        success = bool(outcome_source.random() < p)
-    else:
-        success = forced
-        if success and p == 0.0:
-            raise ValueError("forced success on a zero-probability branch")
-        if not success and p == 1.0:
-            raise ValueError("forced failure on a zero-probability branch")
-    if success:
+    if decide_branch(outcome_source, p):
         spatial = np.zeros_like(state.spatial)
         spatial[-1] = 1.0
         new = SectorState(
@@ -316,6 +343,92 @@ def _as_outcome_source(outcome_source):
     raise TypeError(f"bad outcome source: {outcome_source!r}")
 
 
+class CascadeStep(NamedTuple):
+    """Step k of the all-failure branch."""
+
+    window: tuple
+    t_k: float
+    p_k: float  # success probability realized at t_k
+    optimum: OptimizeResult  # None when t_k comes from the fixed schedule
+    elapsed: float
+    norm_factor: float  # weight of the branch entering the measurement
+    failed: SectorState  # read-only; None when failure has probability 0
+
+
+class Cascade:
+    """The all-failure run of one chain, extended one step at a time.
+
+    Iteration 1 searches Jt in (0, 2N] for the first success peak. Later
+    iterations take the global maximum over Jt in (0, later_window_jt]
+    (strategy 'optimized') or wait the fixed (2k-1) t1 ('regular').
+    """
+
+    def __init__(self, n_sites, j, mode, strategy, grid_step,
+                 later_window_jt):
+        if strategy not in ("optimized", "regular"):
+            raise ValueError(f"unknown strategy {strategy!r}")
+        self.spec = ChainSpec(n_sites=n_sites, j=j)
+        self.mode = as_mode(mode)
+        self.strategy = strategy
+        self.grid_step = grid_step
+        self.later_window_jt = later_window_jt
+        self.steps = []
+
+    def step(self, k):
+        """Step k (1-based), computing the steps up to it if needed."""
+        while len(self.steps) < k:
+            self._extend()
+        return self.steps[k - 1]
+
+    def _extend(self):
+        k = len(self.steps) + 1
+        j = self.spec.j
+        state = initialize(self.spec, None) if k == 1 else self.steps[-1].failed
+        optimum = None
+        if k == 1:
+            window = (0.0, 2.0 * self.spec.n_sites / j)
+            criterion = PeakCriterion.FIRST_PEAK
+        elif self.strategy == "optimized":
+            window = (0.0, self.later_window_jt / j)
+            criterion = PeakCriterion.GLOBAL_MAX
+        else:
+            t_k = schedule_regular(self.steps[0].t_k, k)
+            window = (t_k, t_k)
+            criterion = None
+        if criterion is not None:
+            optimum = optimize_time(
+                state, window, self.grid_step / j, criterion, self.mode
+            )
+            t_k = optimum.t
+        state = evolve(state, t_k, self.mode)
+        p_k = success_probability(state)
+        failed = None
+        if p_k < 1.0:
+            _, failed = measure(state, "F")
+            failed.spatial.setflags(write=False)
+        self.steps.append(CascadeStep(
+            window=window, t_k=t_k, p_k=p_k, optimum=optimum,
+            elapsed=state.elapsed, norm_factor=state.norm_factor,
+            failed=failed,
+        ))
+
+
+@lru_cache(maxsize=128)
+def _cascade(n_sites, j, mode_value, strategy, grid_step, later_window_jt):
+    return Cascade(n_sites, j, mode_value, strategy, grid_step,
+                   later_window_jt)
+
+
+def cascade(n_sites, j, mode, strategy="optimized",
+            grid_step=DEFAULT_GRID_STEP, later_window_jt=LATER_WINDOW_JT):
+    """The shared all-failure cascade of a chain, cached per
+    (N, J, mode, strategy, grid_step, later_window_jt)."""
+    require_finite("grid_step", grid_step)
+    require_finite("later_window_jt", later_window_jt)
+    return _cascade(n_sites, j, as_mode(mode).value, strategy, grid_step,
+                    later_window_jt)
+
+
 def run_iterative_protocol(
     spec: ChainSpec,
     payload: LogicalPayload,
@@ -328,74 +441,52 @@ def run_iterative_protocol(
 ):
     """Run up to max_iter evolve-measure cycles.
 
-    strategy 'optimized': iteration 1 searches Jt in (0, 2N] for the first
-    success peak, later iterations take the global maximum over
-    Jt in (0, later_window_jt]. strategy 'regular': later iterations wait
-    the fixed (2k-1) t1 instead of searching. Delivery applies the field
-    phase correction to the payload.
+    The schedule comes from the chain's Cascade (see there for the two
+    strategies). Each step takes its scripted branch or draws one uniform
+    number against the clamped p_k; a failure continues from the cached
+    post-failure state. Delivery applies the field phase correction, so
+    the delivered payload is the sent one. payload may be None when only
+    the schedule and the probabilities are wanted.
     """
     if max_iter < 1:
         raise ValueError(f"need max_iter >= 1, got {max_iter}")
-    if strategy not in ("optimized", "regular"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    mode = as_mode(mode)
+    initialize(spec, payload)  # rejects a payload of the wrong dimension
     source = _as_outcome_source(outcome_source)
-    state = initialize(spec, payload)
-    j = spec.j
+    all_failure = cascade(spec.n_sites, spec.j, mode, strategy, grid_step,
+                          later_window_jt)
     records = []
     p_fail_cumulative = []
     fail_product = 1.0
     total_time = 0.0
-    corrected = False
-    delivered = None
-    t1 = None
     for k in range(1, max_iter + 1):
-        if k == 1:
-            window = (0.0, 2.0 * spec.n_sites / j)
-            t_k, p_est, _ = optimize_time(
-                state, window, grid_step / j, PeakCriterion.FIRST_PEAK, mode
-            )
-            t1 = t_k
-        elif strategy == "optimized":
-            window = (0.0, later_window_jt / j)
-            t_k, p_est, _ = optimize_time(
-                state, window, grid_step / j, PeakCriterion.GLOBAL_MAX, mode
-            )
-        else:
-            t_k = schedule_regular(t1, k)
-            window = (t_k, t_k)
-        state = evolve(state, t_k, mode)
-        p_k = success_probability(state)
+        step = all_failure.step(k)
+        p = min(max(step.p_k, 0.0), 1.0)
         forced_char, scripted = source.pick(k)
-        branch, state = measure(state, forced_char if scripted else source.rng)
-        records.append(
-            IterationRecord(
-                k=k,
-                t_k=t_k,
-                p_k=p_k,
-                outcome=Outcome.FORCED if scripted else branch,
-                window=window,
-            )
-        )
-        fail_product *= 1.0 - p_k
+        success = decide_branch(forced_char if scripted else source.rng, p)
+        if scripted:
+            outcome = Outcome.FORCED
+        else:
+            outcome = Outcome.SUCCESS if success else Outcome.FAILURE
+        records.append(IterationRecord(
+            k=k, t_k=step.t_k, p_k=step.p_k, outcome=outcome,
+            window=step.window,
+        ))
+        fail_product *= 1.0 - step.p_k
         p_fail_cumulative.append(fail_product)
-        total_time += t_k
-        if branch is Outcome.SUCCESS:
-            arrived = LogicalPayload(
-                d=payload.d,
-                a=payload.a
-                * np.exp(
-                    -1j * np.arange(1, payload.d) * spec.b_field * state.elapsed
-                ),
-            )
-            delivered = phase_correction(arrived, spec.b_field, state.elapsed)
-            corrected = True
+        total_time += step.t_k
+        if success:
+            spatial = np.zeros(spec.n_sites, dtype=complex)
+            spatial[-1] = 1.0
+            state = SectorState(spec, spatial, step.elapsed, payload,
+                                step.norm_factor * p)
             break
+        state = SectorState(spec, step.failed.spatial, step.failed.elapsed,
+                            payload, step.failed.norm_factor)
     return ProtocolResult(
         records=records,
         p_fail_cumulative=p_fail_cumulative,
         total_time=total_time,
-        corrected=corrected,
+        corrected=success,
         final_state=state,
-        delivered_payload=delivered,
+        delivered_payload=payload if success else None,
     )

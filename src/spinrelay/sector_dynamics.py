@@ -22,6 +22,20 @@ from functools import lru_cache
 import numpy as np
 
 
+def require_int(name, value):
+    """Reject anything but an integer: these values size arrays and key
+    caches."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"need an integer {name}, got {value!r}")
+
+
+def require_finite(name, value):
+    """Reject NaN and infinities: a NaN never compares equal, so as a cache
+    key it would miss every time."""
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"need a finite {name}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """Static chain parameters shared by every engine."""
@@ -32,6 +46,10 @@ class ChainSpec:
     b_field: float = 0.0
 
     def __post_init__(self):
+        require_int("n_sites", self.n_sites)
+        require_int("d", self.d)
+        require_finite("j", self.j)
+        require_finite("b_field", self.b_field)
         if self.n_sites < 2:
             raise ValueError(f"need n_sites >= 2, got {self.n_sites}")
         if self.d < 3:

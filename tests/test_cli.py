@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from spinrelay.analysis import read_table_csv
 from spinrelay.cli import main
 
 
@@ -79,6 +80,10 @@ def test_sweep_and_fit_pipeline(tmp_path, capsys):
     assert "post_failure_distribution_n12.csv" in names
     assert "iteration_probabilities_n10.csv" in names
     assert "failure_curves_n10.csv" in names
+    for path in written:
+        table = read_table_csv(path)
+        assert len(table.rows) > 0, path
+        assert all(np.isfinite(v) for _, v in table.rows), path
 
     rc, out, _ = _run(
         capsys, "fit", "--kind", "powerlaw",
@@ -148,6 +153,16 @@ def test_invalid_parameter_exits_2(capsys):
     assert rc == 2
     assert out == ""
     assert "error" in json.loads(err.strip())
+
+
+@pytest.mark.parametrize("flag, value", [("--j", "nan"), ("--b", "inf")])
+def test_non_finite_chain_parameter_exits_2(capsys, flag, value):
+    rc, out, err = _run(capsys, "simulate", "--n", "5", flag, value,
+                        "--max-iter", "2")
+    assert rc == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "finite" in json.loads(err)["error"]
 
 
 def test_bad_force_script_exits_2(capsys):

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from spinrelay.cli import ORACLE_TOL
 from spinrelay.full_oracle import (
     FullState,
     basis_index,
     build_full_hamiltonian,
     charge_expectation,
     cross_validate,
+    delivered_payload_deviation,
     embed_payload,
     evolve_full,
     fidelity,
@@ -269,6 +271,20 @@ def test_cross_validate_small_chain():
     assert report["sector_mixing"] <= 1e-10
     assert report["corrected_fidelity"] >= 1.0 - 1e-8
     assert report["uncorrected_fidelity"] < 1.0
+
+
+def test_delivered_payload_deviation_detects_a_wrong_correction_time():
+    spec = ChainSpec(n_sites=5, d=3, b_field=0.8)
+    payload = random_payload(3, np.random.default_rng(2))
+    engine = run_iterative_protocol(spec, payload, max_iter=1,
+                                    outcome_source="S")
+    oracle = run_full_protocol(spec, payload, [(engine.total_time, "S")])
+    right = delivered_payload_deviation(oracle.receiver_rho, payload, 0.8,
+                                        engine.total_time)
+    wrong = delivered_payload_deviation(oracle.receiver_rho, payload, 0.8,
+                                        engine.total_time + 0.1)
+    assert right <= ORACLE_TOL
+    assert wrong > ORACLE_TOL
 
 
 def test_random_payload_normalized():

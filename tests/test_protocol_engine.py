@@ -32,6 +32,12 @@ def test_payload_validation():
         LogicalPayload(d=3, a=np.array([1.0]))
     with pytest.raises(ValueError):
         LogicalPayload(d=3, a=np.array([1.0, 1.0]))
+    with pytest.raises(ValueError):
+        LogicalPayload(d=3, a=[np.nan, 0.0])
+    with pytest.raises(ValueError):
+        LogicalPayload(d=3, a=[np.inf, 0.0])
+    with pytest.raises(ValueError):
+        LogicalPayload(d=3.0, a=[1.0, 0.0])
 
 
 def test_initialize():

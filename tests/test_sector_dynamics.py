@@ -28,6 +28,25 @@ def test_chain_spec_validation():
         ChainSpec(n_sites=4, b_field=-0.1)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"n_sites": 5.5},
+    {"n_sites": 5.0},
+    {"n_sites": 5, "d": 3.5},
+    {"n_sites": 5, "j": float("nan")},
+    {"n_sites": 5, "j": float("inf")},
+    {"n_sites": 5, "b_field": float("inf")},
+    {"n_sites": 5, "b_field": float("nan")},
+])
+def test_chain_spec_rejects_non_integer_and_non_finite(kwargs):
+    with pytest.raises(ValueError):
+        ChainSpec(**kwargs)
+
+
+def test_chain_spec_accepts_numpy_scalars():
+    spec = ChainSpec(n_sites=np.int64(6), d=np.int32(4), j=np.float64(1.5))
+    assert spec == ChainSpec(n_sites=6, d=4, j=1.5)
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 9])
 def test_sector_matrix_structure(n):
     j = 1.3
