@@ -12,9 +12,8 @@ from .analysis import (
     sweep_first_iteration,
 )
 from .full_oracle import (
-    FullHamiltonian,
+    ChainOperator,
     FullState,
-    build_full_hamiltonian,
     cross_validate,
     evolve_full,
     measure_full,

@@ -214,6 +214,7 @@ def _cmd_oracle_check(args):
         "delivered_payload_deviation":
             report["delivered_payload_deviation"] <= ORACLE_TOL,
         "sector_mixing": report.get("sector_mixing", 0.0) <= 1e-10,
+        "norm_drift": report["norm_drift"] <= 1e-10,
     }
     passed = all(checks.values())
     config = {

@@ -12,8 +12,9 @@ import numpy as np
 
 from .sector_dynamics import ChainSpec
 
-# dense-oracle size guard, shared with full_oracle
-SIZE_GUARD = 20000
+# dense-oracle size guard, shared with full_oracle: 3^12 states, one
+# complex state vector 8.5 MB
+SIZE_GUARD = 3 ** 12
 
 
 @dataclass(frozen=True)

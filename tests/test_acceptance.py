@@ -21,7 +21,7 @@ from spinrelay.analysis import (
 )
 from spinrelay.cli import main as cli_main
 from spinrelay.full_oracle import (
-    build_full_hamiltonian,
+    ChainOperator,
     charge_expectation,
     cross_validate,
     evolve_full,
@@ -86,7 +86,7 @@ def test_criterion_02_unitarity_and_charge_conservation(capsys):
     worst_drift = 0.0
     for n in (4, 6):
         spec = ChainSpec(n_sites=n, d=3, b_field=0.8)
-        h = build_full_hamiltonian(spec)
+        h = ChainOperator(spec)
         amp = rng.normal(size=3 ** n) + 1j * rng.normal(size=3 ** n)
         state = FullState(d=3, n_sites=n, amplitudes=amp / np.linalg.norm(amp))
         base = {m: charge_expectation(state, m, spec) for m in (1, 2)}

@@ -116,8 +116,11 @@ def _assert_replay_matches(n, d, b, mode, strategy, script, seed, max_iter,
     got = _outcome(run_iterative_protocol, spec, payload, *args, new_source,
                    grid_step, later_window_jt)
     assert got == ref, (n, d, b, mode, strategy, script, seed)
-    if got[0] != "raised" and got[3]:
-        assert got[-1] is payload
+    if got[0] != "raised":
+        # both clocks are left-to-right sums of the same t_k from 0.0
+        assert got[5] == got[2], (n, d, b, mode, strategy, script, seed)
+        if got[3]:
+            assert got[-1] is payload
     # the generators are at the same point: no extra draw was consumed
     assert new_source.rng.random() == ref_source.rng.random()
 

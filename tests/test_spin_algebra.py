@@ -128,8 +128,9 @@ def test_conserved_charge_rejects_bad_order():
 
 
 def test_conserved_charge_size_guard():
+    assert conserved_charge(1, ChainSpec(n_sites=12, d=3)).size == 3 ** 12
     with pytest.raises(ValueError):
-        conserved_charge(1, ChainSpec(n_sites=10, d=3))
+        conserved_charge(1, ChainSpec(n_sites=13, d=3))
 
 
 def test_effective_couplings():
