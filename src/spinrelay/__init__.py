@@ -40,16 +40,11 @@ from .protocol_engine import (
 )
 from .sector_dynamics import (
     ChainSpec,
-    OneParticleHamiltonian,
-    Propagator,
     PropagatorMode,
     build_one_particle_hamiltonian,
     eigenpair_residual,
-    eigenpairs_formula,
-    exact_propagator,
     gap_report,
     sector_basis,
-    spectral_propagator,
 )
 from .spin_algebra import (
     SpinOperatorSet,
@@ -57,7 +52,6 @@ from .spin_algebra import (
     build_spin_operators,
     build_swap_operator,
     conserved_charge,
-    effective_couplings,
     solve_swap_coefficients,
 )
 

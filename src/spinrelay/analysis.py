@@ -9,6 +9,7 @@ cascade of protocol_engine, so products of one chain share its search.
 """
 
 import csv
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,12 +101,6 @@ def powerlaw_fit(table: SweepTable):
     )
 
 
-def synthesize_powerlaw(amplitude, exponent, x_values, mode="synthetic"):
-    """Noiseless power-law table, for fit round-trip checks."""
-    rows = [(x, amplitude * x ** (-exponent)) for x in sorted(x_values)]
-    return SweepTable("x", rows, mode, {"value": "y"})
-
-
 def linear_fit(table: SweepTable):
     """Ordinary least squares; returns (slope, intercept, r_squared)."""
     x = table.keys()
@@ -120,22 +115,6 @@ def linear_fit(table: SweepTable):
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return float(slope), float(intercept), r2
-
-
-def linear_fit_residuals(table: SweepTable):
-    """Per-point residuals of the linear fit, for inspection."""
-    slope, intercept, _ = linear_fit(table)
-    return [(k, v - (slope * k + intercept)) for k, v in table.rows]
-
-
-def concat_tables(tables):
-    """Concatenate sweep tables; refuses to mix propagator modes."""
-    modes = {t.mode for t in tables}
-    if len(modes) > 1:
-        raise ValueError(f"cannot mix propagator modes in one table: {modes}")
-    rows = sorted(r for t in tables for r in t.rows)
-    first = tables[0]
-    return SweepTable(first.parameter, rows, first.mode, dict(first.metadata))
 
 
 def failure_cascade(n, k_max, mode, strategy="optimized",
@@ -202,18 +181,28 @@ def post_failure_distribution(n, mode, grid_step=DEFAULT_GRID_STEP, j=1.0):
     return dist
 
 
+def csv_text(preamble, columns, rows):
+    """CSV text: one `# key = value` line per (key, value) pair of the
+    preamble, in the order given, then the header and the rows. Floats are
+    written with repr, so they read back bit for bit."""
+    buf = io.StringIO()
+    for key, value in preamble:
+        buf.write(f"# {key} = {value}\n")
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([repr(c) if isinstance(c, float) else c for c in row])
+    return buf.getvalue()
+
+
 def write_table_csv(table: SweepTable, path):
-    """CSV with `# key = value` config preamble, then header and rows."""
+    """Table as CSV: parameter, mode and the sorted metadata in the
+    preamble, then the (parameter, value) rows."""
+    preamble = [("parameter", table.parameter), ("mode", table.mode)]
+    preamble += [(key, table.metadata[key]) for key in sorted(table.metadata)]
+    label = table.metadata.get("value", "value")
     with open(path, "w", newline="") as fh:
-        fh.write(f"# parameter = {table.parameter}\n")
-        fh.write(f"# mode = {table.mode}\n")
-        for key in sorted(table.metadata):
-            fh.write(f"# {key} = {table.metadata[key]}\n")
-        writer = csv.writer(fh)
-        label = table.metadata.get("value", "value")
-        writer.writerow([table.parameter, label])
-        for k, v in table.rows:
-            writer.writerow([k, repr(v) if isinstance(v, float) else v])
+        fh.write(csv_text(preamble, [table.parameter, label], table.rows))
 
 
 def read_table_csv(path):

@@ -7,8 +7,6 @@ a single-line JSON error on stderr.
 """
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -16,6 +14,7 @@ import sys
 import numpy as np
 
 from .analysis import (
+    csv_text,
     failure_curves,
     iteration_probabilities,
     linear_fit,
@@ -57,19 +56,6 @@ def _emit_json(config, results, path):
         json.dumps({"config": config, "results": results}, indent=2) + "\n",
         path,
     )
-
-
-def _csv_text(config, columns, rows):
-    buf = io.StringIO()
-    for key in sorted(config):
-        buf.write(f"# {key} = {config[key]}\n")
-    writer = csv.writer(buf)
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow(
-            [repr(c) if isinstance(c, float) else c for c in row]
-        )
-    return buf.getvalue()
 
 
 def _cmd_simulate(args):
@@ -117,8 +103,8 @@ def _cmd_simulate(args):
             for r, pf in zip(result.records, result.p_fail_cumulative)
         ]
         _emit_text(
-            _csv_text(
-                config,
+            csv_text(
+                sorted(config.items()),
                 ["k", "t_k", "p_k", "outcome", "window_min", "window_max",
                  "p_fail_cumulative"],
                 rows,
@@ -151,8 +137,8 @@ def _cmd_sweep(args):
         }
         path = os.path.join(args.out_dir, f"post_failure_distribution_n{n}.csv")
         _emit_text(
-            _csv_text(config, ["site", "probability"],
-                      list(enumerate(dist.tolist(), start=1))),
+            csv_text(sorted(config.items()), ["site", "probability"],
+                     list(enumerate(dist.tolist(), start=1))),
             path,
         )
         written.append(path)
@@ -213,7 +199,7 @@ def _cmd_oracle_check(args):
         "corrected_fidelity": report["corrected_fidelity"] >= 1 - ORACLE_TOL,
         "delivered_payload_deviation":
             report["delivered_payload_deviation"] <= ORACLE_TOL,
-        "sector_mixing": report.get("sector_mixing", 0.0) <= 1e-10,
+        "sector_mixing": report["sector_mixing"] <= 1e-10,
         "norm_drift": report["norm_drift"] <= 1e-10,
     }
     passed = all(checks.values())
@@ -252,8 +238,8 @@ def _cmd_propagator(args):
         "grid_step": args.grid_step,
     }
     _emit_text(
-        _csv_text(config, ["jt", "probability"],
-                  list(zip(jt.tolist(), pvals.tolist()))),
+        csv_text(sorted(config.items()), ["jt", "probability"],
+                 list(zip(jt.tolist(), pvals.tolist()))),
         args.out,
     )
     return 0
@@ -269,8 +255,8 @@ def _cmd_distribution(args):
         "grid_step": args.grid_step,
     }
     _emit_text(
-        _csv_text(config, ["site", "probability"],
-                  list(enumerate(dist.tolist(), start=1))),
+        csv_text(sorted(config.items()), ["site", "probability"],
+                 list(enumerate(dist.tolist(), start=1))),
         args.out,
     )
     return 0

@@ -170,15 +170,6 @@ def basis_index(spec: ChainSpec, labels):
     return idx
 
 
-def site_labels(spec: ChainSpec, idx):
-    """Inverse of basis_index."""
-    labels = []
-    for _ in range(spec.n_sites):
-        idx, mu = divmod(idx, spec.d)
-        labels.append(mu)
-    return list(reversed(labels))
-
-
 def product_state(spec: ChainSpec, labels):
     dim = spec.d ** spec.n_sites
     amp = np.zeros(dim, dtype=complex)
@@ -233,9 +224,9 @@ def measure_full(state: FullState, site, outcome_source):
     return outcome, state._with(amp)
 
 
-def charge_expectation(state: FullState, m, spec: ChainSpec):
-    q = conserved_charge(m, spec)
-    return float(np.sum(q * np.abs(state.amplitudes) ** 2))
+def charge_expectation(state: FullState, charge):
+    """<Q> for a charge given as its diagonal (see conserved_charge)."""
+    return float(np.sum(charge * np.abs(state.amplitudes) ** 2))
 
 
 def receiver_reduced_state(state: FullState):
@@ -331,10 +322,11 @@ def cross_validate(spec: ChainSpec, n_trials=5, k_max=4, seed=0,
 
     Runs random payloads through random all-failure schedules plus one
     optimized success-branch delivery, and checks the two swap sources,
-    charge conservation, sector closure, and receiver fidelity. Returns a
-    dict of named max deviations (all should sit at rounding level), plus
-    the propagator's own numerics: norm_drift, the max |norm - 1| after any
-    propagation, and propagation_matvecs, the H applications they made.
+    charge conservation, sector closure and mixing, and receiver fidelity.
+    Returns a dict of named max deviations (all should sit at rounding
+    level), plus the propagator's own numerics: norm_drift, the max
+    |norm - 1| after any propagation, and propagation_matvecs, the H
+    applications they made.
     """
     rng = np.random.default_rng(seed)
     h_perm = ChainOperator(spec, swap_source="permutation")
@@ -354,20 +346,17 @@ def cross_validate(spec: ChainSpec, n_trials=5, k_max=4, seed=0,
     # dropped sector constant and field phase make the oracle and engine
     # amplitudes differ by e^{-i(mu B + offset) T} per level; probabilities
     # and per-site distributions are phase-free and compared directly
+    charges = [conserved_charge(m, spec) for m in range(1, spec.d)]
     prob_dev = 0.0
     dist_dev = 0.0
     charge_dev = 0.0
-    closure_dev = 0.0
     for _ in range(n_trials):
         payload = random_payload(spec.d, rng)
         times = rng.uniform(0.5, 10.0 / spec.j, size=k_max)
         schedule = [(float(t), "F") for t in times]
         state_full = initialize_full(spec, payload)
         state_sec = pe.initialize(spec, payload)
-        q0 = [
-            charge_expectation(state_full, m, spec)
-            for m in range(1, spec.d)
-        ]
+        q0 = [charge_expectation(state_full, q) for q in charges]
         for t_k, forced in schedule:
             state_full = evolve_full(state_full, h_perm, t_k)
             state_sec = pe.evolve(state_sec, t_k, mode)
@@ -384,15 +373,10 @@ def cross_validate(spec: ChainSpec, n_trials=5, k_max=4, seed=0,
                     full_dist - pe.excitation_distribution(state_sec)
                 ))),
             )
-            for m in range(1, spec.d):
+            for q, base in zip(charges, q0):
                 charge_dev = max(
-                    charge_dev,
-                    abs(charge_expectation(state_full, m, spec) - q0[m - 1]),
+                    charge_dev, abs(charge_expectation(state_full, q) - base)
                 )
-            outside = state_full.amplitudes.copy()
-            for mu in range(1, spec.d):
-                outside[one_particle_indices(spec, mu)] = 0.0
-            closure_dev = max(closure_dev, float(np.max(np.abs(outside))))
             _, state_full = measure_full(
                 state_full, spec.n_sites, forced
             )
@@ -400,7 +384,22 @@ def cross_validate(spec: ChainSpec, n_trials=5, k_max=4, seed=0,
     report["probability_deviation"] = prob_dev
     report["distribution_deviation"] = dist_dev
     report["charge_drift"] = charge_dev
-    report["sector_closure"] = closure_dev
+    # |2,0,...> evolved with the S.S polynomial must stay among the N
+    # level-2 one-excitation states (closure) and never reach |1,1,0,...>
+    # (mixing). Axis swaps only move amplitudes, so they could break
+    # neither; a wrong polynomial coefficient breaks both
+    start = product_state(spec, [2] + [0] * (spec.n_sites - 1))
+    sector = one_particle_indices(spec, 2)
+    target = basis_index(spec, [1, 1] + [0] * (spec.n_sites - 2))
+    closure = 0.0
+    mixing = 0.0
+    for t in np.linspace(0.3, 3.0 * spec.n_sites / spec.j, 7):
+        evolved = evolve_full(start, h_dec, float(t)).amplitudes
+        mixing = max(mixing, abs(evolved[target]))
+        outside = evolved.copy()
+        outside[sector] = 0.0
+        closure = max(closure, float(np.max(np.abs(outside))))
+    report["sector_closure"] = closure
     # success branch: deliver at the first peak, check receiver fidelity
     payload = random_payload(spec.d, rng)
     engine = pe.run_iterative_protocol(
@@ -424,17 +423,7 @@ def cross_validate(spec: ChainSpec, n_trials=5, k_max=4, seed=0,
         oracle.receiver_rho, payload, spec.b_field,
         engine.total_time,
     )
-    # sector-mixing prohibition: |2,0,...> never reaches |1,1,0,...>. The
-    # S.S polynomial is evolved here: axis swaps cannot mix these states
-    # at all, a wrong polynomial coefficient can
-    if spec.d >= 3:
-        start = product_state(spec, [2] + [0] * (spec.n_sites - 1))
-        target = basis_index(spec, [1, 1] + [0] * (spec.n_sites - 2))
-        mixing = 0.0
-        for t in np.linspace(0.3, 3.0 * spec.n_sites / spec.j, 7):
-            evolved = evolve_full(start, h_dec, float(t))
-            mixing = max(mixing, abs(evolved.amplitudes[target]))
-        report["sector_mixing"] = float(mixing)
+    report["sector_mixing"] = float(mixing)
     report["norm_drift"] = max(
         h_perm.norm_drift, h_dec.norm_drift, oracle.norm_drift
     )
@@ -466,12 +455,6 @@ def restrict_to_one_particle(h: ChainOperator, mu=1):
     return np.column_stack(columns)
 
 
-def one_particle_amplitudes(state: FullState, mu=1):
-    """Spatial amplitude vector of the level-mu one-excitation block."""
-    spec = ChainSpec(n_sites=state.n_sites, d=state.d)
-    return state.amplitudes[one_particle_indices(spec, mu)]
-
-
 def sector_matrix_offset(spec: ChainSpec, mu=1):
     """Constant by which the oracle restriction exceeds the sector matrix."""
     return mu * spec.b_field - spec.j * (spec.n_sites - 3)
@@ -481,7 +464,7 @@ def one_particle_consistency(spec: ChainSpec, mu=1):
     """Max elementwise deviation between the oracle restriction and the
     sector matrix after removing the constant offset."""
     restricted = restrict_to_one_particle(ChainOperator(spec), mu=mu)
-    sector = build_one_particle_hamiltonian(spec).matrix
+    sector = build_one_particle_hamiltonian(spec)
     offset = sector_matrix_offset(spec, mu=mu)
     return float(
         np.max(np.abs(restricted - offset * np.eye(spec.n_sites) - sector))

@@ -1,108 +1,26 @@
-"""Mode-sum kernels shared by the propagator and the time optimizer.
+"""Mode-sum kernel shared by the propagator and the time optimizer.
 
 Everything downstream reduces to evaluating a(t) = sum_p w_p exp(-i f_p t)
-on dense time grids, where w are mode weights and f mode frequencies. The
-numba path is selected automatically; set SPINRELAY_NO_NUMBA=1 to force the
-pure-numpy fallback (both paths agree to rounding).
+on dense time grids, where w are mode weights and f mode frequencies.
 """
-
-import math
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
+# Always False: numpy is the only backend. perfbench/worker.py reports this
+# name in the environment block of every benchmark run.
+USE_NUMBA = False
 
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-USE_NUMBA = _HAVE_NUMBA and os.environ.get("SPINRELAY_NO_NUMBA", "") != "1"
-
-# numpy fallback works in chunks so the (nt, np) phase matrix stays small
+# times are taken in chunks so the (nt, np) phase matrix stays small
 _CHUNK = 4096
 
 
-@njit(cache=True)
-def _probability_series_jit(wr, wi, freqs, times, out):
-    for i in range(times.shape[0]):
-        t = times[i]
-        ar = 0.0
-        ai = 0.0
-        for p in range(freqs.shape[0]):
-            c = math.cos(freqs[p] * t)
-            s = math.sin(freqs[p] * t)
-            # (wr + i wi) * (cos - i sin)
-            ar += wr[p] * c + wi[p] * s
-            ai += wi[p] * c - wr[p] * s
-        out[i] = ar * ar + ai * ai
-
-
-@njit(cache=True)
-def _amplitude_series_jit(wr, wi, freqs, times, outr, outi):
-    for i in range(times.shape[0]):
-        t = times[i]
-        ar = 0.0
-        ai = 0.0
-        for p in range(freqs.shape[0]):
-            c = math.cos(freqs[p] * t)
-            s = math.sin(freqs[p] * t)
-            ar += wr[p] * c + wi[p] * s
-            ai += wi[p] * c - wr[p] * s
-        outr[i] = ar
-        outi[i] = ai
-
-
-def _amplitude_series_numpy(weights, freqs, times):
-    out = np.empty(times.shape[0], dtype=np.complex128)
-    for lo in range(0, times.shape[0], _CHUNK):
-        hi = min(lo + _CHUNK, times.shape[0])
-        out[lo:hi] = np.exp(-1j * np.outer(times[lo:hi], freqs)) @ weights
-    return out
-
-
-def amplitude_series(weights, freqs, times, force_numpy=False):
-    """a[i] = sum_p weights[p] * exp(-1j * freqs[p] * times[i])."""
-    weights = np.ascontiguousarray(weights, dtype=np.complex128)
-    freqs = np.ascontiguousarray(freqs, dtype=np.float64)
-    times = np.ascontiguousarray(times, dtype=np.float64)
-    if not USE_NUMBA or force_numpy:
-        return _amplitude_series_numpy(weights, freqs, times)
-    outr = np.empty(times.shape[0])
-    outi = np.empty(times.shape[0])
-    _amplitude_series_jit(
-        np.ascontiguousarray(weights.real),
-        np.ascontiguousarray(weights.imag),
-        freqs,
-        times,
-        outr,
-        outi,
-    )
-    return outr + 1j * outi
-
-
-def probability_series(weights, freqs, times, force_numpy=False):
+def probability_series(weights, freqs, times):
     """p[i] = |sum_p weights[p] * exp(-1j * freqs[p] * times[i])|**2."""
     weights = np.ascontiguousarray(weights, dtype=np.complex128)
     freqs = np.ascontiguousarray(freqs, dtype=np.float64)
     times = np.ascontiguousarray(times, dtype=np.float64)
-    if not USE_NUMBA or force_numpy:
-        a = _amplitude_series_numpy(weights, freqs, times)
-        return (a.real * a.real + a.imag * a.imag)
-    out = np.empty(times.shape[0])
-    _probability_series_jit(
-        np.ascontiguousarray(weights.real),
-        np.ascontiguousarray(weights.imag),
-        freqs,
-        times,
-        out,
-    )
-    return out
+    a = np.empty(times.shape[0], dtype=np.complex128)
+    for lo in range(0, times.shape[0], _CHUNK):
+        hi = min(lo + _CHUNK, times.shape[0])
+        a[lo:hi] = np.exp(-1j * np.outer(times[lo:hi], freqs)) @ weights
+    return a.real * a.real + a.imag * a.imag

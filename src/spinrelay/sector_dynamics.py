@@ -9,8 +9,9 @@ the closed-form sine family
     lambda_p = -2 J cos((2p+1) pi / (2N+1)),
 
 which is exactly orthonormal on the site grid but diagonalizes a variant
-of the exact matrix with one boundary term missing; the two modes give
-measurably different dynamics (see eigenpair_residual and gap_report).
+of the exact matrix with the -J boundary term at the receiver end only
+(none at the sender); the two modes give measurably different dynamics
+(see eigenpair_residual and gap_report).
 The magnetic field never enters F(t): it contributes the level-dependent
 global phase exp(-i mu B t) handled by the protocol layer.
 """
@@ -71,23 +72,10 @@ def as_mode(mode):
     return PropagatorMode(mode)
 
 
-@dataclass(frozen=True)
-class OneParticleHamiltonian:
-    """B-independent sector matrix; the mu*B on-site offset is a global
-    phase in this sector and is tracked separately."""
-
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
-class Propagator:
-    mode: PropagatorMode
-    time: float
-    f_matrix: np.ndarray
-
-
 def build_one_particle_hamiltonian(spec: ChainSpec):
-    """Sector matrix from applying each bond term to one-excitation states.
+    """B-independent sector matrix from applying each bond term to
+    one-excitation states; the mu*B on-site offset is a global phase in
+    this sector and is tracked separately.
 
     A bond not touching the excited site contributes -J to the diagonal;
     a bond touching it hops the excitation with amplitude -J. The constant
@@ -103,7 +91,7 @@ def build_one_particle_hamiltonian(spec: ChainSpec):
             if k != bond and k != bond + 1:
                 m[k, k] -= j
     m -= np.eye(n) * (-j * (n - 3))
-    return OneParticleHamiltonian(matrix=m)
+    return m
 
 
 @dataclass(frozen=True)
@@ -134,7 +122,7 @@ def _basis(n_sites, j, mode_value):
         freqs = -2.0 * j * np.cos(q)
     else:
         spec = ChainSpec(n_sites=n_sites, j=j)
-        m = build_one_particle_hamiltonian(spec).matrix
+        m = build_one_particle_hamiltonian(spec)
         freqs, vectors = np.linalg.eigh(m)
     vectors.setflags(write=False)
     freqs.setflags(write=False)
@@ -146,51 +134,17 @@ def sector_basis(spec: ChainSpec, mode):
     return _basis(spec.n_sites, spec.j, as_mode(mode).value)
 
 
-def _propagator(spec, t, mode):
-    if t < 0:
-        raise ValueError(f"need t >= 0, got {t}")
-    basis = sector_basis(spec, mode)
-    return Propagator(mode=as_mode(mode), time=t, f_matrix=basis.f_matrix(t))
-
-
-def spectral_propagator(spec: ChainSpec, t):
-    """F(t) from the closed-form sine family."""
-    return _propagator(spec, t, PropagatorMode.SPECTRAL_FORMULA)
-
-
-def exact_propagator(spec: ChainSpec, t):
-    """F(t) = exp(-i M t) from the eigendecomposition of the sector matrix."""
-    return _propagator(spec, t, PropagatorMode.EXACT_DIAGONALIZATION)
-
-
-def eigenpairs_formula(spec: ChainSpec, mu=0):
-    """Closed-form eigenpairs; the level index mu adds mu*B to each value."""
-    basis = sector_basis(spec, PropagatorMode.SPECTRAL_FORMULA)
-    offset = mu * spec.b_field
-    return [
-        (basis.freqs[p] + offset, basis.vectors[:, p].copy())
-        for p in range(spec.n_sites)
-    ]
-
-
 def eigenpair_residual(spec: ChainSpec):
     """Max 2-norm residual of the closed-form eigenpairs against the
     constructed sector matrix, after the least-squares global shift
     s* = mean_p(v_p^T M v_p - lambda_p) that absorbs the dropped constant."""
-    m = build_one_particle_hamiltonian(spec).matrix
+    m = build_one_particle_hamiltonian(spec)
     basis = sector_basis(spec, PropagatorMode.SPECTRAL_FORMULA)
     mv = m @ basis.vectors
     rayleigh = np.einsum("kp,kp->p", basis.vectors, mv)
     shift = float(np.mean(rayleigh - basis.freqs))
     res = mv - basis.vectors * (basis.freqs + shift)
     return float(np.max(np.linalg.norm(res, axis=0)))
-
-
-def eigenpair_residual_table(n_list, j=1.0):
-    """Residual trend versus chain length, as (N, residual) rows."""
-    return [
-        (n, eigenpair_residual(ChainSpec(n_sites=n, j=j))) for n in n_list
-    ]
 
 
 def gap_report(spec: ChainSpec):
@@ -203,7 +157,7 @@ def gap_report(spec: ChainSpec):
     n, j = spec.n_sites, spec.j
     q = np.pi / (2 * n + 1)
     formula_gap = 2.0 * j * (np.cos(q) - np.cos(3 * q))
-    w = np.linalg.eigvalsh(build_one_particle_hamiltonian(spec).matrix)
+    w = np.linalg.eigvalsh(build_one_particle_hamiltonian(spec))
     exact_gap = float(w[1] - w[0])
     return {
         "formula_gap": float(formula_gap),

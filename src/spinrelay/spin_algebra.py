@@ -138,14 +138,3 @@ def conserved_charge(m, spec: ChainSpec):
         digit = (idx // spec.d ** (spec.n_sites - 1 - k)) % spec.d
         q += digit.astype(float) ** m
     return q
-
-
-def effective_couplings(t, u0, u2):
-    """Exchange couplings of the spin-1 lattice model realized with two-body
-    on-site energies u0 (total spin 0 channel) and u2 (total spin 2 channel)
-    at tunneling t. Returns (j, k) for the bilinear and biquadratic terms."""
-    if u0 == 0 or u2 == 0:
-        raise ValueError("on-site energies must be nonzero")
-    j = -2.0 * t * t / u2
-    k = -2.0 * t * t / (3.0 * u2) - 4.0 * t * t / (3.0 * u0)
-    return j, k

@@ -19,13 +19,12 @@ from spinrelay.full_oracle import (
     initialize_full,
     measure_full,
     occupancy_probability,
-    one_particle_amplitudes,
     one_particle_consistency,
+    one_particle_indices,
     product_state,
     random_payload,
     receiver_reduced_state,
     run_full_protocol,
-    site_labels,
 )
 from spinrelay.protocol_engine import (
     LogicalPayload,
@@ -39,6 +38,7 @@ from spinrelay.protocol_engine import (
 from spinrelay.sector_dynamics import ChainSpec
 from spinrelay.spin_algebra import (
     SIZE_GUARD,
+    SwapDecomposition,
     build_swap_operator,
     conserved_charge,
     solve_swap_coefficients,
@@ -81,7 +81,8 @@ def random_state(dim, rng):
 def test_basis_index_roundtrip():
     spec = ChainSpec(n_sites=4, d=3)
     for labels in ([0, 0, 0, 0], [2, 0, 1, 0], [1, 2, 2, 1]):
-        assert site_labels(spec, basis_index(spec, labels)) == labels
+        digits = np.unravel_index(basis_index(spec, labels), (3,) * 4)
+        assert [int(mu) for mu in digits] == labels
     # site 1 is the most significant digit
     assert basis_index(spec, [1, 0, 0, 0]) == 27
 
@@ -148,13 +149,14 @@ def test_evolution_preserves_norm_and_charges():
     spec = ChainSpec(n_sites=4, d=3, b_field=0.7)
     h = ChainOperator(spec)
     state = initialize_full(spec, payload3(0.8, 0.6))
-    q0 = [charge_expectation(state, m, spec) for m in (1, 2)]
+    charges = [conserved_charge(m, spec) for m in (1, 2)]
+    q0 = [charge_expectation(state, q) for q in charges]
     for t in (0.9, 3.4, 11.0):
         evolved = evolve_full(state, h, t)
         assert np.linalg.norm(evolved.amplitudes) == pytest.approx(1.0, abs=1e-10)
-        for m, q in zip((1, 2), q0):
-            assert charge_expectation(evolved, m, spec) == pytest.approx(
-                q, abs=1e-10
+        for q, base in zip(charges, q0):
+            assert charge_expectation(evolved, q) == pytest.approx(
+                base, abs=1e-10
             )
 
 
@@ -224,7 +226,7 @@ def test_sector_amplitudes_match_up_to_constant_phase():
     sec = evolve(initialize(spec, payload3()), t, "exact")
     phase = np.exp(-1j * spec.j * (spec.n_sites - 3) * t)
     assert np.max(np.abs(
-        one_particle_amplitudes(full, mu=1) * phase - sec.spatial
+        full.amplitudes[one_particle_indices(spec, 1)] * phase - sec.spatial
     )) < 1e-10
 
 
@@ -402,6 +404,30 @@ def test_norm_drift_check_fails_for_a_non_unitary_series(monkeypatch,
     assert rc == 1
     assert results["norm_drift"] == pytest.approx(1e-9, rel=1e-3)
     assert results["checks"]["norm_drift"] is False
+
+
+def test_sector_closure_check_fails_for_a_wrong_swap_coefficient(
+        monkeypatch, capsys):
+    # one S.S-polynomial coefficient off by 1e-2 moves amplitude out of the
+    # level-2 one-excitation states, which the axis swaps never could
+    from spinrelay import full_oracle
+    from spinrelay.cli import main
+
+    exact = full_oracle.solve_swap_coefficients
+
+    def wrong(d):
+        dec = exact(d)
+        b = dec.b.copy()
+        b[-1] += 1e-2
+        return SwapDecomposition(d=d, b=b, residual=dec.residual)
+
+    monkeypatch.setattr(full_oracle, "solve_swap_coefficients", wrong)
+    rc = main(["oracle-check", "--n", "7", "--d", "3", "--b", "0.8",
+               "--trials", "1", "--k-max", "1"])
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert rc == 1
+    assert results["sector_closure"] == pytest.approx(0.0833, abs=1e-3)
+    assert results["checks"]["sector_closure"] is False
 
 
 @pytest.mark.parametrize("n", [8, 9])

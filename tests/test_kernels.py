@@ -1,11 +1,8 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from spinrelay import kernels
+from spinrelay.sector_dynamics import ChainSpec, sector_basis
 
 
 def _random_inputs(n_modes, n_times, seed):
@@ -16,62 +13,41 @@ def _random_inputs(n_modes, n_times, seed):
     return weights, freqs, times
 
 
-def test_amplitude_paths_agree():
-    weights, freqs, times = _random_inputs(37, 513, seed=1)
-    fast = kernels.amplitude_series(weights, freqs, times)
-    slow = kernels.amplitude_series(weights, freqs, times, force_numpy=True)
-    assert np.max(np.abs(fast - slow)) < 1e-12
-
-
-def test_probability_paths_agree():
-    weights, freqs, times = _random_inputs(21, 8192 + 7, seed=2)
-    fast = kernels.probability_series(weights, freqs, times)
-    slow = kernels.probability_series(weights, freqs, times, force_numpy=True)
-    assert np.max(np.abs(fast - slow)) < 1e-12
-
-
 def test_probability_matches_square_of_amplitude():
-    weights, freqs, times = _random_inputs(11, 200, seed=3)
-    amp = kernels.amplitude_series(weights, freqs, times)
-    prob = kernels.probability_series(weights, freqs, times)
-    assert np.max(np.abs(prob - np.abs(amp) ** 2)) < 1e-12
+    # with the receiver-row mode weights, the series is |F(t)[N, 1]|^2 of
+    # the propagator itself
+    spec = ChainSpec(n_sites=11)
+    for mode in ("exact", "spectral"):
+        basis = sector_basis(spec, mode)
+        weights = basis.vectors[-1, :] * basis.vectors[0, :]
+        times = np.linspace(0.0, 30.0, 200)
+        prob = kernels.probability_series(weights, basis.freqs, times)
+        ref = np.array([abs(basis.f_matrix(t)[-1, 0]) ** 2 for t in times])
+        assert np.max(np.abs(prob - ref)) < 1e-12
 
 
 def test_direct_reference_sum():
     weights, freqs, times = _random_inputs(5, 17, seed=4)
     ref = np.array(
-        [np.sum(weights * np.exp(-1j * freqs * t)) for t in times]
+        [abs(np.sum(weights * np.exp(-1j * freqs * t))) ** 2 for t in times]
     )
-    got = kernels.amplitude_series(weights, freqs, times)
+    got = kernels.probability_series(weights, freqs, times)
     assert np.max(np.abs(got - ref)) < 1e-12
 
 
 def test_empty_and_single_time():
     weights, freqs, _ = _random_inputs(4, 1, seed=5)
-    empty = kernels.amplitude_series(weights, freqs, np.array([]))
+    empty = kernels.probability_series(weights, freqs, np.array([]))
     assert empty.shape == (0,)
     one = kernels.probability_series(weights, freqs, np.array([0.0]))
     assert one[0] == pytest.approx(np.abs(np.sum(weights)) ** 2, abs=1e-12)
 
 
-def test_env_flag_disables_numba():
-    code = (
-        "import spinrelay.kernels as k; "
-        "print(k.USE_NUMBA)"
-    )
-    env = dict(os.environ, SPINRELAY_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0
-    assert out.stdout.strip() == "False"
-
-
 def test_chunking_boundary():
     # lengths straddling the internal chunk size must not change results
     n = kernels._CHUNK
-    for nt in (n - 1, n, n + 1):
+    for nt in (n - 1, n, n + 1, 2 * n + 1):
         weights, freqs, times = _random_inputs(3, nt, seed=nt)
-        a = kernels._amplitude_series_numpy(weights, freqs, times)
-        ref = np.exp(-1j * np.outer(times, freqs)) @ weights
-        assert np.max(np.abs(a - ref)) < 1e-12
+        p = kernels.probability_series(weights, freqs, times)
+        ref = np.abs(np.exp(-1j * np.outer(times, freqs)) @ weights) ** 2
+        assert np.max(np.abs(p - ref)) < 1e-12

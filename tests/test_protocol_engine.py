@@ -80,8 +80,10 @@ def test_evolve_preserves_norm():
 
 def test_evolve_rejects_negative_time():
     state = initialize(ChainSpec(n_sites=4), payload3())
-    with pytest.raises(ValueError):
-        evolve(state, -1.0, "exact")
+    for mode in ("exact", "spectral"):
+        for t in (-1.0, -0.1):
+            with pytest.raises(ValueError):
+                evolve(state, t, mode)
 
 
 def test_forced_failure_on_fresh_state_is_noop():
@@ -148,6 +150,21 @@ def test_optimize_series_synthetic_sine():
     res = optimize_series(ts, pvals, PeakCriterion.FIRST_PEAK,
                           lambda t: np.sin(t) ** 2)
     assert abs(res.t - np.pi / 2) <= 0.01
+    assert not res.at_endpoint
+
+
+@pytest.mark.parametrize("bump,first_peak", [(1e-4, 1.5), (1e-8, 6.0)])
+def test_optimize_series_first_peak_floor(bump, first_peak):
+    # a main peak of 1 at t=6 after an early bump: a bump above the
+    # relative floor (1e-6 of the series maximum) is the first peak, one
+    # below it is numerical ripple and is skipped
+    def series(t):
+        return (np.exp(-(t - 6.0) ** 2 / 0.5)
+                + bump * np.exp(-(t - 1.5) ** 2 / 0.05))
+
+    ts = 0.01 * np.arange(1, 1001)
+    res = optimize_series(ts, series(ts), PeakCriterion.FIRST_PEAK, series)
+    assert res.t == pytest.approx(first_peak, abs=1e-3)
     assert not res.at_endpoint
 
 

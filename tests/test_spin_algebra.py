@@ -6,7 +6,6 @@ from spinrelay.spin_algebra import (
     build_spin_operators,
     build_swap_operator,
     conserved_charge,
-    effective_couplings,
     solve_swap_coefficients,
     spin_scalar_product,
     swap_from_decomposition,
@@ -131,16 +130,3 @@ def test_conserved_charge_size_guard():
     assert conserved_charge(1, ChainSpec(n_sites=12, d=3)).size == 3 ** 12
     with pytest.raises(ValueError):
         conserved_charge(1, ChainSpec(n_sites=13, d=3))
-
-
-def test_effective_couplings():
-    j, k = effective_couplings(1.0, -2.0, -2.0)
-    assert j == pytest.approx(1.0)
-    assert k == pytest.approx(1.0)
-    j, k = effective_couplings(0.7, 3.1, 3.1)
-    assert j == pytest.approx(k)
-    assert effective_couplings(0.0, 1.0, 1.0) == (0.0, 0.0)
-    with pytest.raises(ValueError):
-        effective_couplings(1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        effective_couplings(1.0, 1.0, 0.0)
