@@ -107,6 +107,8 @@ class SectorBasis:
         return self.vectors @ (phase * (self.vectors.T @ c))
 
     def f_matrix(self, t):
+        if t < 0:
+            raise ValueError(f"need t >= 0, got {t}")
         phase = np.exp(-1j * self.freqs * t)
         return (self.vectors * phase) @ self.vectors.T
 

@@ -91,6 +91,12 @@ def test_propagator_unitary_and_symmetric(mode):
     assert np.max(np.abs(f - f.T)) < 1e-10
 
 
+def test_propagator_rejects_negative_time():
+    for mode in ("exact", "spectral"):
+        with pytest.raises(ValueError):
+            sector_basis(ChainSpec(n_sites=4), mode).f_matrix(-0.1)
+
+
 def test_exact_propagator_two_site_transfer():
     # gap 2J, so the excitation fully crosses at Jt = pi/2
     j = 1.0
