@@ -42,8 +42,6 @@ from .sector_dynamics import (
     ChainSpec,
     PropagatorMode,
     build_one_particle_hamiltonian,
-    eigenpair_residual,
-    gap_report,
     sector_basis,
 )
 from .spin_algebra import (

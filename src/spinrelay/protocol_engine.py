@@ -42,6 +42,11 @@ PEAK_FLOOR_REL = 1e-6
 
 GLOBAL_TIE_TOL = 1e-12
 
+# the first-peak scan evaluates its window in blocks of this many points;
+# the kernel computes each time on its own, so a block gives the same bits
+# as the matching slice of a whole-window call
+FIRST_PEAK_BLOCK = 1024
+
 
 class Outcome(Enum):
     SUCCESS = "success"
@@ -245,28 +250,72 @@ def _parabolic_refine(ts, pvals, i, evaluate):
     return t, p
 
 
+def _peak_indices(pvals, floor):
+    """Indices i of the interior grid-local maxima above floor:
+    pvals[i-1] < pvals[i] >= pvals[i+1] and pvals[i] > floor."""
+    interior = pvals[1:-1]
+    return np.flatnonzero(
+        (pvals[:-2] < interior) & (interior >= pvals[2:]) & (interior > floor)
+    ) + 1
+
+
 def optimize_series(ts, pvals, criterion, evaluate):
     """Peak search over a sampled series, with parabolic refinement through
     the evaluate callback. Shared by optimize_time and directly usable on
     synthetic series."""
     n = len(ts)
-    crit = criterion if isinstance(criterion, PeakCriterion) else PeakCriterion(criterion)
+    crit = PeakCriterion(criterion)
     if crit is PeakCriterion.FIRST_PEAK:
         floor = max(PEAK_FLOOR_ABS, PEAK_FLOOR_REL * float(pvals.max()))
-        interior = pvals[1:-1]
-        peaks = np.flatnonzero(
-            (pvals[:-2] < interior) & (interior >= pvals[2:]) & (interior > floor)
-        )
+        peaks = _peak_indices(pvals, floor)
         if peaks.size == 0:
             return OptimizeResult(
                 t=float(ts[-1]), p=float(pvals[-1]), at_endpoint=True
             )
-        t, p = _parabolic_refine(ts, pvals, int(peaks[0]) + 1, evaluate)
+        t, p = _parabolic_refine(ts, pvals, int(peaks[0]), evaluate)
         return OptimizeResult(t=t, p=p, at_endpoint=False)
     gmax = float(pvals.max())
     i = int(np.flatnonzero(pvals >= gmax - GLOBAL_TIE_TOL)[0])
     t, p = _parabolic_refine(ts, pvals, i, evaluate)
     return OptimizeResult(t=t, p=p, at_endpoint=(i == n - 1))
+
+
+def scan_first_peak(ts, series, bound, evaluate):
+    """FirstPeak search that evaluates series(ts[lo:hi]) in blocks of
+    FIRST_PEAK_BLOCK points and stops once the first peak is decided.
+
+    bound must be at least the window maximum of the series. The full-scan
+    floor is then at most max(PEAK_FLOOR_ABS, PEAK_FLOOR_REL * bound), so
+    the first grid-local maximum above PEAK_FLOOR_ABS, once its right
+    neighbour is known, settles the search: above the bound's floor it is
+    the full scan's first peak; below, it might still pass the window's
+    own floor, and the rest of the window is evaluated and handed to
+    optimize_series. So is a window with no such maximum. Either way the
+    result equals optimize_series over the whole series.
+    """
+    n = len(ts)
+    accept_floor = max(PEAK_FLOOR_ABS, PEAK_FLOOR_REL * bound)
+    pvals = np.empty(n)
+    hi = 0
+    while hi < n:
+        lo = hi
+        hi = min(lo + FIRST_PEAK_BLOCK, n)
+        if n - hi == 1:
+            hi = n  # a one-point block would read as a refinement
+        pvals[lo:hi] = series(ts[lo:hi])
+        # interior points from lo on, plus lo - 1 once its right neighbour
+        # is known
+        base = max(lo - 2, 0)
+        peaks = _peak_indices(pvals[base:hi], PEAK_FLOOR_ABS)
+        if peaks.size:
+            i = base + int(peaks[0])
+            if pvals[i] <= accept_floor:
+                break
+            t, p = _parabolic_refine(ts, pvals[:hi], i, evaluate)
+            return OptimizeResult(t=t, p=p, at_endpoint=False)
+    if hi < n:
+        pvals[hi:] = series(ts[hi:])
+    return optimize_series(ts, pvals, PeakCriterion.FIRST_PEAK, evaluate)
 
 
 def optimize_time(state, window, grid_step, criterion, mode):
@@ -275,7 +324,9 @@ def optimize_time(state, window, grid_step, criterion, mode):
     FirstPeak takes the first grid-local maximum above the noise floor;
     GlobalMax takes the window-wide maximum (earliest among ties). Both
     refine the grid point by parabolic interpolation. A window with no
-    interior peak reports the endpoint with at_endpoint set.
+    interior peak reports the endpoint with at_endpoint set. FirstPeak
+    stops evaluating the grid once its peak is decided (scan_first_peak),
+    with the result of a whole-window scan.
     """
     t_min, t_max = window
     if not t_min < t_max:
@@ -287,12 +338,20 @@ def optimize_time(state, window, grid_step, criterion, mode):
         raise ValueError("window shorter than three grid steps")
     ts = t_min + grid_step * np.arange(1, n + 1)
     weights, basis = _receiver_mode_weights(state, mode)
-    pvals = probability_series(weights, basis.freqs, ts)
+
+    def series(times):
+        return probability_series(weights, basis.freqs, times)
 
     def evaluate(t):
-        return probability_series(weights, basis.freqs, np.array([t]))[0]
+        return series(np.array([t]))[0]
 
-    return optimize_series(ts, pvals, criterion, evaluate)
+    crit = PeakCriterion(criterion)
+    if crit is PeakCriterion.FIRST_PEAK:
+        # |sum_p w_p e^{-i f_p t}|^2 <= (sum_p |w_p|)^2; the margin covers
+        # the kernel's rounding
+        bound = float(np.sum(np.abs(weights))) ** 2 * (1.0 + 1e-9)
+        return scan_first_peak(ts, series, bound, evaluate)
+    return optimize_series(ts, series(ts), crit, evaluate)
 
 
 def schedule_regular(t1, k):
@@ -382,35 +441,54 @@ class Cascade:
 
     def _extend(self):
         k = len(self.steps) + 1
-        j = self.spec.j
-        state = initialize(self.spec, None) if k == 1 else self.steps[-1].failed
-        optimum = None
         if k == 1:
-            window = (0.0, 2.0 * self.spec.n_sites / j)
-            criterion = PeakCriterion.FIRST_PEAK
-        elif self.strategy == "optimized":
+            self.steps.append(_first_step(
+                self.spec.n_sites, self.spec.j, self.mode.value,
+                self.grid_step,
+            ))
+            return
+        j = self.spec.j
+        state = self.steps[-1].failed
+        optimum = None
+        if self.strategy == "optimized":
             window = (0.0, self.later_window_jt / j)
-            criterion = PeakCriterion.GLOBAL_MAX
+            optimum = optimize_time(
+                state, window, self.grid_step / j, PeakCriterion.GLOBAL_MAX,
+                self.mode,
+            )
+            t_k = optimum.t
         else:
             t_k = schedule_regular(self.steps[0].t_k, k)
             window = (t_k, t_k)
-            criterion = None
-        if criterion is not None:
-            optimum = optimize_time(
-                state, window, self.grid_step / j, criterion, self.mode
-            )
-            t_k = optimum.t
-        state = evolve(state, t_k, self.mode)
-        p_k = success_probability(state)
-        failed = None
-        if p_k < 1.0:
-            _, failed = measure(state, "F")
-            failed.spatial.setflags(write=False)
-        self.steps.append(CascadeStep(
-            window=window, t_k=t_k, p_k=p_k, optimum=optimum,
-            elapsed=state.elapsed, norm_factor=state.norm_factor,
-            failed=failed,
-        ))
+        self.steps.append(_failed_step(state, window, t_k, optimum,
+                                       self.mode))
+
+
+def _failed_step(state, window, t_k, optimum, mode):
+    """Evolve for t_k and take the failed receiver measurement."""
+    state = evolve(state, t_k, mode)
+    p_k = success_probability(state)
+    failed = None
+    if p_k < 1.0:
+        _, failed = measure(state, "F")
+        failed.spatial.setflags(write=False)
+    return CascadeStep(
+        window=window, t_k=t_k, p_k=p_k, optimum=optimum,
+        elapsed=state.elapsed, norm_factor=state.norm_factor, failed=failed,
+    )
+
+
+@lru_cache(maxsize=128)
+def _first_step(n_sites, j, mode_value, grid_step):
+    """Step 1 of a chain's cascades: the first-peak search over Jt in
+    (0, 2N] depends on neither the strategy nor the later window, so every
+    cascade of (N, J, mode, grid_step) shares it."""
+    mode = PropagatorMode(mode_value)
+    state = initialize(ChainSpec(n_sites=n_sites, j=j), None)
+    window = (0.0, 2.0 * n_sites / j)
+    optimum = optimize_time(state, window, grid_step / j,
+                            PeakCriterion.FIRST_PEAK, mode)
+    return _failed_step(state, window, optimum.t, optimum, mode)
 
 
 @lru_cache(maxsize=128)
@@ -422,7 +500,8 @@ def _cascade(n_sites, j, mode_value, strategy, grid_step, later_window_jt):
 def cascade(n_sites, j, mode, strategy="optimized",
             grid_step=DEFAULT_GRID_STEP, later_window_jt=LATER_WINDOW_JT):
     """The shared all-failure cascade of a chain, cached per
-    (N, J, mode, strategy, grid_step, later_window_jt)."""
+    (N, J, mode, strategy, grid_step, later_window_jt); its first step is
+    cached per (N, J, mode, grid_step) alone."""
     require_finite("grid_step", grid_step)
     require_finite("later_window_jt", later_window_jt)
     return _cascade(n_sites, j, as_mode(mode).value, strategy, grid_step,

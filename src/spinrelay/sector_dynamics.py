@@ -10,8 +10,7 @@ the closed-form sine family
 
 which is exactly orthonormal on the site grid but diagonalizes a variant
 of the exact matrix with the -J boundary term at the receiver end only
-(none at the sender); the two modes give measurably different dynamics
-(see eigenpair_residual and gap_report).
+(none at the sender); the two modes give measurably different dynamics.
 The magnetic field never enters F(t): it contributes the level-dependent
 global phase exp(-i mu B t) handled by the protocol layer.
 """
@@ -84,13 +83,10 @@ def build_one_particle_hamiltonian(spec: ChainSpec):
     """
     n, j = spec.n_sites, spec.j
     m = np.zeros((n, n))
-    for bond in range(n - 1):
-        m[bond, bond + 1] -= j
-        m[bond + 1, bond] -= j
-        for k in range(n):
-            if k != bond and k != bond + 1:
-                m[k, k] -= j
-    m -= np.eye(n) * (-j * (n - 3))
+    hop = np.arange(n - 1)
+    m[hop, hop + 1] = -j
+    m[hop + 1, hop] = -j
+    m[0, 0] = m[-1, -1] = -j
     return m
 
 
@@ -98,7 +94,6 @@ def build_one_particle_hamiltonian(spec: ChainSpec):
 class SectorBasis:
     """Cached mode decomposition: F(t) = V diag(exp(-i freqs t)) V^T."""
 
-    mode: PropagatorMode
     vectors: np.ndarray  # N x N, columns are modes, real
     freqs: np.ndarray  # N
 
@@ -128,42 +123,9 @@ def _basis(n_sites, j, mode_value):
         freqs, vectors = np.linalg.eigh(m)
     vectors.setflags(write=False)
     freqs.setflags(write=False)
-    return SectorBasis(mode=mode, vectors=vectors, freqs=freqs)
+    return SectorBasis(vectors=vectors, freqs=freqs)
 
 
 def sector_basis(spec: ChainSpec, mode):
     """Mode decomposition for a chain, cached per (N, J, mode)."""
     return _basis(spec.n_sites, spec.j, as_mode(mode).value)
-
-
-def eigenpair_residual(spec: ChainSpec):
-    """Max 2-norm residual of the closed-form eigenpairs against the
-    constructed sector matrix, after the least-squares global shift
-    s* = mean_p(v_p^T M v_p - lambda_p) that absorbs the dropped constant."""
-    m = build_one_particle_hamiltonian(spec)
-    basis = sector_basis(spec, PropagatorMode.SPECTRAL_FORMULA)
-    mv = m @ basis.vectors
-    rayleigh = np.einsum("kp,kp->p", basis.vectors, mv)
-    shift = float(np.mean(rayleigh - basis.freqs))
-    res = mv - basis.vectors * (basis.freqs + shift)
-    return float(np.max(np.linalg.norm(res, axis=0)))
-
-
-def gap_report(spec: ChainSpec):
-    """Lowest spectral gap computed both ways.
-
-    The closed-form gap is 2J(cos(pi/(2N+1)) - cos(3pi/(2N+1))); the exact
-    gap comes from diagonalizing the constructed matrix. For N=2 these are
-    sqrt(5) J versus exactly 2 J.
-    """
-    n, j = spec.n_sites, spec.j
-    q = np.pi / (2 * n + 1)
-    formula_gap = 2.0 * j * (np.cos(q) - np.cos(3 * q))
-    w = np.linalg.eigvalsh(build_one_particle_hamiltonian(spec))
-    exact_gap = float(w[1] - w[0])
-    return {
-        "formula_gap": float(formula_gap),
-        "exact_gap": exact_gap,
-        "difference": float(formula_gap - exact_gap),
-        "residual": eigenpair_residual(spec),
-    }

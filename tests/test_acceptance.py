@@ -35,10 +35,11 @@ from spinrelay.protocol_engine import (
 from spinrelay.sector_dynamics import (
     ChainSpec,
     build_one_particle_hamiltonian,
-    gap_report,
     sector_basis,
 )
 from spinrelay.spin_algebra import conserved_charge, solve_swap_coefficients
+
+from sector_diagnostics import gap_report
 
 
 def _report(capsys, number, label, ok, detail):

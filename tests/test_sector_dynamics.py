@@ -3,12 +3,11 @@ import pytest
 
 from spinrelay.sector_dynamics import (
     ChainSpec,
-    PropagatorMode,
     build_one_particle_hamiltonian,
-    eigenpair_residual,
-    gap_report,
     sector_basis,
 )
+
+from sector_diagnostics import eigenpair_residual, gap_report
 
 
 def test_chain_spec_validation():
@@ -59,6 +58,39 @@ def test_sector_matrix_structure(n):
         assert np.allclose(diag[1:-1], 0.0)
 
 
+def bond_by_bond_hamiltonian(spec):
+    """Reference build: apply each bond term to the one-excitation states,
+    then drop the constant interior diagonal -J(N-3)."""
+    n, j = spec.n_sites, spec.j
+    m = np.zeros((n, n))
+    for bond in range(n - 1):
+        m[bond, bond + 1] -= j
+        m[bond + 1, bond] -= j
+        for k in range(n):
+            if k != bond and k != bond + 1:
+                m[k, k] -= j
+    m -= np.eye(n) * (-j * (n - 3))
+    return m
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 40, 101])
+@pytest.mark.parametrize("j", [1.0, 2.0, 0.7, 1.3])
+def test_sector_matrix_matches_bond_by_bond_build(n, j):
+    spec = ChainSpec(n_sites=n, j=j)
+    m = build_one_particle_hamiltonian(spec)
+    ref = bond_by_bond_hamiltonian(spec)
+    if j in (1.0, 2.0):
+        # the reference's sums of -J are exact in binary
+        assert np.array_equal(m, ref)
+    else:
+        # its N-3 subtractions, each rounded at a magnitude of at most
+        # J N, leave up to N * J N * eps on the diagonal (2e-13 at N=101)
+        bound = n * j * n * np.finfo(float).eps
+        assert np.max(np.abs(m - ref)) <= bound
+        assert np.array_equal(m - np.diag(np.diag(m)),
+                              ref - np.diag(np.diag(ref)))
+
+
 def test_sector_matrix_row_sums_uniform():
     # the all-ones vector is an eigenvector of the hopping + boundary shape
     for n in (2, 4, 7):
@@ -85,7 +117,13 @@ def test_spectral_propagator_identity_at_zero():
 def test_propagator_unitary_and_symmetric(mode):
     spec = ChainSpec(n_sites=17, j=0.8)
     basis = sector_basis(spec, mode)
-    assert basis.mode is PropagatorMode(mode)
+    # the cache hands back the basis of the mode asked for
+    q = (2 * np.arange(17) + 1) * np.pi / 35
+    expected = {
+        "spectral": -2.0 * spec.j * np.cos(q),
+        "exact": np.linalg.eigvalsh(build_one_particle_hamiltonian(spec)),
+    }[mode]
+    assert np.max(np.abs(basis.freqs - expected)) < 1e-12
     f = basis.f_matrix(7.3)
     assert np.max(np.abs(f.conj().T @ f - np.eye(17))) < 1e-10
     assert np.max(np.abs(f - f.T)) < 1e-10
