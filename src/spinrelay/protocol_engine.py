@@ -441,54 +441,35 @@ class Cascade:
 
     def _extend(self):
         k = len(self.steps) + 1
-        if k == 1:
-            self.steps.append(_first_step(
-                self.spec.n_sites, self.spec.j, self.mode.value,
-                self.grid_step,
-            ))
-            return
         j = self.spec.j
-        state = self.steps[-1].failed
+        state = initialize(self.spec, None) if k == 1 else self.steps[-1].failed
         optimum = None
-        if self.strategy == "optimized":
+        if k == 1:
+            window = (0.0, 2.0 * self.spec.n_sites / j)
+            criterion = PeakCriterion.FIRST_PEAK
+        elif self.strategy == "optimized":
             window = (0.0, self.later_window_jt / j)
-            optimum = optimize_time(
-                state, window, self.grid_step / j, PeakCriterion.GLOBAL_MAX,
-                self.mode,
-            )
-            t_k = optimum.t
+            criterion = PeakCriterion.GLOBAL_MAX
         else:
             t_k = schedule_regular(self.steps[0].t_k, k)
             window = (t_k, t_k)
-        self.steps.append(_failed_step(state, window, t_k, optimum,
-                                       self.mode))
-
-
-def _failed_step(state, window, t_k, optimum, mode):
-    """Evolve for t_k and take the failed receiver measurement."""
-    state = evolve(state, t_k, mode)
-    p_k = success_probability(state)
-    failed = None
-    if p_k < 1.0:
-        _, failed = measure(state, "F")
-        failed.spatial.setflags(write=False)
-    return CascadeStep(
-        window=window, t_k=t_k, p_k=p_k, optimum=optimum,
-        elapsed=state.elapsed, norm_factor=state.norm_factor, failed=failed,
-    )
-
-
-@lru_cache(maxsize=128)
-def _first_step(n_sites, j, mode_value, grid_step):
-    """Step 1 of a chain's cascades: the first-peak search over Jt in
-    (0, 2N] depends on neither the strategy nor the later window, so every
-    cascade of (N, J, mode, grid_step) shares it."""
-    mode = PropagatorMode(mode_value)
-    state = initialize(ChainSpec(n_sites=n_sites, j=j), None)
-    window = (0.0, 2.0 * n_sites / j)
-    optimum = optimize_time(state, window, grid_step / j,
-                            PeakCriterion.FIRST_PEAK, mode)
-    return _failed_step(state, window, optimum.t, optimum, mode)
+            criterion = None
+        if criterion is not None:
+            optimum = optimize_time(
+                state, window, self.grid_step / j, criterion, self.mode
+            )
+            t_k = optimum.t
+        state = evolve(state, t_k, self.mode)
+        p_k = success_probability(state)
+        failed = None
+        if p_k < 1.0:
+            _, failed = measure(state, "F")
+            failed.spatial.setflags(write=False)
+        self.steps.append(CascadeStep(
+            window=window, t_k=t_k, p_k=p_k, optimum=optimum,
+            elapsed=state.elapsed, norm_factor=state.norm_factor,
+            failed=failed,
+        ))
 
 
 @lru_cache(maxsize=128)
@@ -500,8 +481,7 @@ def _cascade(n_sites, j, mode_value, strategy, grid_step, later_window_jt):
 def cascade(n_sites, j, mode, strategy="optimized",
             grid_step=DEFAULT_GRID_STEP, later_window_jt=LATER_WINDOW_JT):
     """The shared all-failure cascade of a chain, cached per
-    (N, J, mode, strategy, grid_step, later_window_jt); its first step is
-    cached per (N, J, mode, grid_step) alone."""
+    (N, J, mode, strategy, grid_step, later_window_jt)."""
     require_finite("grid_step", grid_step)
     require_finite("later_window_jt", later_window_jt)
     return _cascade(n_sites, j, as_mode(mode).value, strategy, grid_step,

@@ -182,10 +182,8 @@ def test_replay_equals_reference_property(n, seed, script, mode, strategy,
 @pytest.fixture
 def fresh_cache():
     pe._cascade.cache_clear()
-    pe._first_step.cache_clear()
     yield
     pe._cascade.cache_clear()
-    pe._first_step.cache_clear()
 
 
 @pytest.fixture
@@ -236,31 +234,6 @@ def test_analysis_products_share_one_build(fresh_cache, optimizer_calls):
     )
     assert sampled.records[0].t_k == t1
     assert len(optimizer_calls) == 6
-
-
-def test_strategies_and_later_windows_share_the_first_step(fresh_cache,
-                                                         optimizer_calls):
-    spec = ChainSpec(n_sites=40)
-    runs = [
-        run_iterative_protocol(spec, None, strategy="regular", max_iter=3,
-                               outcome_source="FFF", later_window_jt=w)
-        for w in (10.0, 6.0)
-    ]
-    assert [w[1] for w in optimizer_calls] == [80.0]  # one (0, 2N] search
-    optimized = run_iterative_protocol(spec, None, max_iter=3,
-                                       outcome_source="FFF")
-    assert [w[1] for w in optimizer_calls] == [80.0, 10.0, 10.0]
-    assert pe._cascade.cache_info().misses == 3
-    assert pe._first_step.cache_info().misses == 1
-    first = pe.cascade(40, 1.0, "exact", "regular").step(1)
-    assert pe.cascade(40, 1.0, "exact").step(1) is first
-    for result in runs + [optimized]:
-        assert result.records[0].t_k == first.t_k
-        assert result.records[0].p_k == first.p_k
-    # a different grid is a different search
-    run_iterative_protocol(spec, None, strategy="regular", max_iter=1,
-                           outcome_source="F", grid_step=0.02)
-    assert [w[1] for w in optimizer_calls] == [80.0, 10.0, 10.0, 80.0]
 
 
 def test_cached_and_returned_arrays_cannot_change_later_results(fresh_cache):
